@@ -5,9 +5,15 @@ statistics (and a ``metrics_snapshot`` for the machine's
 :class:`~repro.sim.MetricsRegistry`).  Capacity is in packets; a full
 FIFO backpressures the packetizer (blocking put), which is how a slow
 link ultimately stalls the sending CPU's deliberate-update engine.
+
+The NIC's injection stage drains the FIFO without a getter event: when
+it finds the FIFO empty it parks a callback (:meth:`OutgoingFifo.park`)
+and the next :meth:`OutgoingFifo.try_put` hands it the packet.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from ...sim import Event, Simulator, Store
 from ..config import MachineConfig
@@ -26,6 +32,34 @@ class OutgoingFifo:
         self.packets_enqueued = 0
         self.bytes_enqueued = 0
         self.high_water = 0
+        self._consumer: Optional[Callable[[Packet], None]] = None
+
+    def try_put(self, packet: Packet) -> bool:
+        """Enqueue a packet unless the FIFO is full (then count nothing).
+
+        A parked consumer is handed the packet straight through the
+        store — the accounting a waiting getter would have seen — and
+        runs synchronously, so this must be the last act of a NORMAL
+        scheduler entry (``Packetizer._enqueue`` is): the URGENT wake it
+        replaces would have been the next entry dispatched.
+        """
+        store = self._store
+        if not store.try_put(packet):
+            return False
+        self.packets_enqueued += 1
+        self.bytes_enqueued += packet.size
+        consumer = self._consumer
+        if consumer is None:
+            self.high_water = max(self.high_water, len(store))
+            return True
+        self._consumer = None
+        consumer(store.try_get())
+        return True
+
+    def park(self, consumer: Callable[[Packet], None]) -> None:
+        """Wait for the next packet: :meth:`try_put` calls
+        ``consumer(packet)``.  Only an empty FIFO has a parked consumer."""
+        self._consumer = consumer
 
     def put(self, packet: Packet) -> Event:
         """Enqueue a packet; blocks (event pends) while the FIFO is full."""

@@ -14,13 +14,19 @@ The CPU side sees three entry points:
   the two EISA programmed-I/O accesses.
 * the kernel hooks (:attr:`fault_handler`, :attr:`notify_handler`,
   :meth:`unfreeze`) — the interrupt side.
+
+Like the hardware, the datapath has no software between its stages:
+the injection stage here and the two DMA engines are state machines
+that advance through scheduler callbacks, one step per timed hardware
+action, with no simulation process of their own (docs/SIMULATOR.md,
+"Callback-driven NIC engines").
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ...sim import BandwidthChannel, Event, FaultInjector, Simulator, Tracer, spawn
+from ...sim import BandwidthChannel, Event, FaultInjector, Simulator, Tracer
 from ..config import MachineConfig
 from ..memory import PhysicalMemory
 from ..router.mesh import MeshBackplane
@@ -83,7 +89,11 @@ class NetworkInterface:
         self.shadow = RegionShadow(config)
         self.incoming.shadow = self.shadow
         mesh.attach(node_id, self.incoming.deliver)
-        spawn(sim, self._inject_loop(), name="nic-inject-n%d" % node_id)
+        # The injection stage's packet in flight and its span.
+        self._injecting = None
+        self._inject_span = None
+        # First look at the FIFO in a t=0 entry, as a process would.
+        sim.schedule_call(0.0, self._inject_next)
 
     # -- CPU-facing datapaths ------------------------------------------------
     def snoop_write(self, paddr: int, data: bytes) -> None:
@@ -139,37 +149,41 @@ class NetworkInterface:
         self.incoming.unfreeze(discard=discard)
 
     # -- outgoing injection ---------------------------------------------------------
-    def _inject_loop(self):
-        """Move closed packets from the Outgoing FIFO onto the backplane.
+    # One serial stage per NIC moves closed packets from the Outgoing
+    # FIFO onto the backplane: this is what makes per-source injection
+    # (and therefore per-pair delivery) ordered.
+    def _inject_next(self) -> None:
+        """Take the next closed packet, or park until one is enqueued."""
+        packet = self.fifo.try_get()
+        if packet is None:
+            self.fifo.park(self._inject_start)
+        else:
+            self._inject_start(packet)
 
-        One serial process per NIC: this is what makes per-source
-        injection (and therefore per-pair delivery) ordered.
-        """
-        cfg = self.config
-        track = "n%d.nic.inject" % self.node_id
-        fifo = self.fifo
-        empty = object()
-        while True:
-            # Buffered-packet fast path (see IncomingEngine._run).
-            packet = fifo.try_get(empty)
-            if packet is empty:
-                packet = yield fifo.get()
-            span = None
-            if self.tracer.enabled:
-                span = self.tracer.begin(
-                    "nic.inject", "inject #%d %dB" % (packet.seq, packet.size),
-                    track=track, data={"bytes": packet.size},
-                )
-            grant = self.arbiter.request(priority=OUTGOING_PRIORITY)
-            if not grant.triggered:
-                yield grant
-            yield self.sim.timeout(cfg.nic_injection_latency)
-            self.tracer.log(
-                "inject", "n%d injected #%d", self.node_id, packet.seq
+    def _inject_start(self, packet) -> None:
+        self._injecting = packet
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.begin(
+                "nic.inject", "inject #%d %dB" % (packet.seq, packet.size),
+                track="n%d.nic.inject" % self.node_id,
+                data={"bytes": packet.size},
             )
-            self.mesh.inject(packet)
-            self.tracer.end(span)
-            self.arbiter.release(grant)
+        self._inject_span = span
+        if self.arbiter.acquire(OUTGOING_PRIORITY, self._inject_granted):
+            self._inject_granted()
+
+    def _inject_granted(self) -> None:
+        self.sim.schedule_call(self.config.nic_injection_latency,
+                               self._inject_done)
+
+    def _inject_done(self) -> None:
+        packet = self._injecting
+        self.tracer.log("inject", "n%d injected #%d", self.node_id, packet.seq)
+        self.mesh.inject(packet)
+        self.tracer.end(self._inject_span)
+        self.arbiter.release()
+        self._inject_next()
 
     # -- statistics -------------------------------------------------------------------
     def stats(self) -> dict:

@@ -237,9 +237,11 @@ class Packetizer:
         self.sim.schedule_call(target - self.sim.now, self._enqueue, packet)
 
     def _enqueue(self, packet: Packet) -> None:
-        event = self.fifo.put(packet)
-        if event.triggered:
+        # The FIFO put is the last act of this NORMAL entry, so an idle
+        # injection stage may take the packet inline (OutgoingFifo.try_put).
+        if self.fifo.try_put(packet):
             return
+        event = self.fifo.put(packet)
         # FIFO full: park a process on the pending put so backpressure
         # reaches the packetizer in FIFO order.
         def putter():

@@ -96,7 +96,7 @@ class MeshBackplane:
 
         Called by the sending NIC at the moment the packet leaves its
         outgoing FIFO.  Must be called in the order packets should be
-        delivered (per source) — the NIC's single injection process
+        delivered (per source) — the NIC's serial injection stage
         guarantees this, and FIFO links preserve it across the mesh.
         """
         if packet.dst_node not in self._receivers:
@@ -177,6 +177,8 @@ class MeshBackplane:
         self.bytes_in_flight -= packet.size
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
+        # Must stay the last act of this NORMAL entry: an idle incoming
+        # engine lands the packet inline (IncomingDmaEngine.deliver).
         self._receivers[packet.dst_node](packet)
 
     # -- inspection --------------------------------------------------------

@@ -23,7 +23,7 @@ Both produce the exact same total order ``(time, priority, seq)`` —
 ``seq`` is a monotonically increasing tiebreaker, so same-time,
 same-priority callbacks run in scheduling order and every run is fully
 deterministic regardless of scheduler (property-tested in
-``tests/sim/test_scheduler_equivalence.py``).
+``tests/properties/test_scheduler_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -546,6 +546,30 @@ class Simulator:
             raise ValueError("cannot schedule in the past (delay=%r)" % (delay,))
         self._seq = seq = self._seq + 1
         entry = (self._now + delay, priority, seq, fn, args)
+        cal = self._cal
+        if cal is None:
+            heappush(self._heap, entry)
+        else:
+            cal.push(entry)
+
+    def schedule_at(
+        self,
+        time: float,
+        fn: Callable,
+        *args: Any,
+        priority: int = NORMAL,
+    ) -> None:
+        """Schedule ``fn(*args)`` at the *absolute* time ``time``.
+
+        The callback counterpart of :meth:`timeout_at`: the deadline
+        float is used verbatim, so a merged ``(now + a) + b`` deadline
+        lands on the bit-exact instant of the two-step version.
+        """
+        if time < self._now:
+            raise ValueError("cannot schedule in the past (time=%r, now=%r)"
+                             % (time, self._now))
+        self._seq = seq = self._seq + 1
+        entry = (time, priority, seq, fn, args)
         cal = self._cal
         if cal is None:
             heappush(self._heap, entry)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .core import Event, Simulator
 
@@ -322,6 +322,22 @@ class BandwidthChannel:
 
     def transfer(self, nbytes: int, value: Any = None) -> Event:
         """Queue a transfer; returns an event fired at completion time."""
+        finish = self._occupy(nbytes)
+        return self.sim.timeout(finish - self.sim.now, value)
+
+    def transfer_call(self, nbytes: int, fn: Callable, *args: Any) -> None:
+        """Queue a transfer; ``fn(*args)`` runs at completion time.
+
+        The callback form of :meth:`transfer` for engines written as
+        state machines: same accounting, and one NORMAL scheduler entry
+        at the same ``now + (finish - now)`` deadline the returned
+        event's :class:`~repro.sim.Timeout` would have had.
+        """
+        finish = self._occupy(nbytes)
+        self.sim.schedule_call(finish - self.sim.now, fn, *args)
+
+    def _occupy(self, nbytes: int) -> float:
+        """Claim the channel for one transfer; returns its finish time."""
         start = self.busy_until()
         occupied = self.occupancy(nbytes)
         finish = start + occupied
@@ -335,7 +351,7 @@ class BandwidthChannel:
             tracer.complete("bus", "%s xfer %dB" % (self.name, nbytes),
                             start, finish, track=self.track,
                             data={"bytes": nbytes})
-        return self.sim.timeout(finish - self.sim.now, value)
+        return finish
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of elapsed simulated time the channel was occupied."""

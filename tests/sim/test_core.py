@@ -42,6 +42,22 @@ def test_negative_delay_rejected():
         sim.schedule_call(-1.0, lambda: None)
 
 
+def test_schedule_at_uses_the_absolute_time_verbatim():
+    """(now + a) + b is not now + (a + b) in floats; schedule_at must
+    land on the caller's float, as timeout_at does."""
+    sim = Simulator()
+    sim.schedule_call(0.1, lambda: None)
+    sim.run()
+    deadline = (sim.now + 0.2) + 0.3
+    assert deadline != sim.now + (0.2 + 0.3)
+    seen = []
+    sim.schedule_at(deadline, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [deadline]
+    with pytest.raises(ValueError):
+        sim.schedule_at(sim.now - 1.0, lambda: None)
+
+
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     seen = []

@@ -286,6 +286,20 @@ def test_channel_idle_gap_not_charged():
     assert done == [120.0]
 
 
+def test_channel_transfer_call_matches_transfer():
+    """The callback form queues behind event-form transfers and keeps
+    the same accounting."""
+    sim = Simulator()
+    chan = BandwidthChannel(sim, bandwidth=4.0, overhead=0.5)
+    done = []
+    chan.transfer(10).add_callback(lambda _e: done.append(("event", sim.now)))
+    chan.transfer_call(6, lambda tag: done.append((tag, sim.now)), "call")
+    sim.run()
+    assert done == [("event", 3.0), ("call", 5.0)]
+    assert (chan.bytes_carried, chan.transfers, chan.busy_time,
+            chan.wait_time) == (16, 2, 5.0, 3.0)
+
+
 def test_channel_counts_bytes_and_transfers():
     sim = Simulator()
     chan = BandwidthChannel(sim, bandwidth=10.0)

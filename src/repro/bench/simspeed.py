@@ -18,8 +18,11 @@ Two measurements, one artifact (``BENCH_sim.json``):
 ``SEED_BASELINE`` holds the seed engine's numbers, measured
 back-to-back with the current engine on the same idle machine (same
 Python, best of the repeats) — wall-clock comparisons across *different*
-machines are meaningless, which is also why the CI perf smoke guard
-(tests/bench/test_perf_smoke.py) allows a wide margin and an opt-out.
+machines are meaningless.  That is why the CI perf smoke guard
+(tests/bench/test_perf_smoke.py) gates :func:`dispatch_speedup`
+instead: the frozen seed engine (:mod:`repro.bench.seed_engine`) and
+the current one timed interleaved in the same process, a ratio any
+host can re-measure.
 
 Regenerate with ``make bench-sim-json`` (CI uploads the artifact).
 """
@@ -32,10 +35,12 @@ from typing import Dict, List, Optional
 from ..sim.core import Simulator
 from ..sim.process import Process
 from ..workload import WorkloadSpec, run_workload
+from . import seed_engine
 from .report import write_bench_json
 
 __all__ = ["SCHEMA", "SEED_BASELINE", "CAPACITY_SPECS", "dispatch_rate",
-           "capacity_wall", "simspeed_payload", "write_simspeed_json"]
+           "dispatch_speedup", "capacity_wall", "simspeed_payload",
+           "write_simspeed_json"]
 
 SCHEMA = "repro.bench.simspeed/v1"
 
@@ -62,27 +67,26 @@ CAPACITY_SPECS: List[WorkloadSpec] = [
 ]
 
 
-def _spin(sim: Simulator, n: int):
+def _spin(sim, n: int):
     for _ in range(n):
         yield sim.timeout(1.0)
 
 
-def dispatch_rate(events: int = 200000, repeats: int = 3,
-                  scheduler: Optional[str] = None) -> Dict[str, float]:
-    """Raw dispatch throughput: best-of-``repeats`` events/sec.
+def _dispatch_wall(simulator, process, events: int):
+    """Wall seconds of one spin run on the given engine, and its sim."""
+    sim = simulator()
+    process(sim, _spin(sim, events), name="simspeed-spin")
+    t0 = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - t0, sim
 
-    ``scheduler`` selects the queue implementation ("heap" or
-    "calendar"); None takes the engine default (heap, see
-    docs/SIMULATOR.md for why).
-    """
+
+def dispatch_rate(events: int = 200000, repeats: int = 3) -> Dict[str, float]:
+    """Raw dispatch throughput: best-of-``repeats`` events/sec."""
     best = None
     executed = 0
     for _ in range(repeats):
-        sim = Simulator(scheduler=scheduler) if scheduler else Simulator()
-        Process(sim, _spin(sim, events), name="simspeed-spin")
-        t0 = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - t0
+        wall, sim = _dispatch_wall(Simulator, Process, events)
         executed = sim.events_executed
         if best is None or wall < best:
             best = wall
@@ -90,6 +94,33 @@ def dispatch_rate(events: int = 200000, repeats: int = 3,
         "events": executed,
         "best_wall_s": best,
         "events_per_s": executed / best,
+    }
+
+
+def dispatch_speedup(events: int = 50000, repeats: int = 5) -> Dict[str, float]:
+    """The current engine's dispatch speed over the seed engine's.
+
+    Both run the same ``events``-timeout spin, interleaved seed/current
+    ``repeats`` times in this process, and each keeps its best wall
+    time; ``speedup`` is seed wall / current wall, i.e. the events/sec
+    ratio ``speedup_vs_seed.dispatch_events_per_s`` records.  Host
+    speed and load cancel out of the ratio, so it compares across
+    machines where raw events/sec does not.
+    """
+    seed_best = current_best = None
+    for _ in range(repeats):
+        seed_wall, _ = _dispatch_wall(seed_engine.Simulator,
+                                      seed_engine.Process, events)
+        current_wall, _ = _dispatch_wall(Simulator, Process, events)
+        if seed_best is None or seed_wall < seed_best:
+            seed_best = seed_wall
+        if current_best is None or current_wall < current_best:
+            current_best = current_wall
+    return {
+        "events": events,
+        "seed_best_wall_s": seed_best,
+        "current_best_wall_s": current_best,
+        "speedup": seed_best / current_best,
     }
 
 
@@ -130,9 +161,6 @@ def simspeed_payload(quick: bool = False) -> dict:
     """
     dispatch = dispatch_rate(events=50000 if quick else 200000,
                              repeats=1 if quick else 3)
-    dispatch_cal = dispatch_rate(events=50000 if quick else 200000,
-                                 repeats=1 if quick else 3,
-                                 scheduler="calendar")
     capacity = capacity_wall(repeats=1 if quick else 3)
     base = SEED_BASELINE
     seed_equiv_eps = base["capacity_events"] / capacity["best_wall_s"]
@@ -141,7 +169,6 @@ def simspeed_payload(quick: bool = False) -> dict:
         "quick": quick,
         "baseline_seed_engine": dict(base),
         "dispatch": dispatch,
-        "dispatch_calendar": dispatch_cal,
         "capacity": dict(capacity,
                          seed_equivalent_events_per_s=seed_equiv_eps),
         "speedup_vs_seed": {
@@ -198,8 +225,6 @@ def main(argv=None) -> int:
              payload["dispatch"]["best_wall_s"],
              payload["dispatch"]["events_per_s"],
              speed["dispatch_events_per_s"]))
-    print("dispatch (calendar queue): %.0f events/s"
-          % payload["dispatch_calendar"]["events_per_s"])
     print("capacity: %d entries in %.3f s (seed: %d in %.3f s) -> "
           "wall %.2fx, %.0f%% entries eliminated"
           % (payload["capacity"]["events"],

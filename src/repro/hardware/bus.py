@@ -44,30 +44,22 @@ class EisaBus(BandwidthChannel):
         self.node_id = node_id
         self.faults = faults or FaultInjector(sim)
         self.pio_accesses = 0
-        self._degraded_until = 0.0
-        self._degrade_factor = 1.0
         self.degrade_windows = 0
-
-    def occupancy(self, nbytes: int) -> float:
-        """Channel time for one transfer, stretched while degraded."""
-        base = super().occupancy(nbytes)
-        if self.sim.now < self._degraded_until:
-            return base * self._degrade_factor
-        return base
 
     def _occupy(self, nbytes: int) -> float:
         """Claim the bus for one DMA transfer, consulting the fault site
         first (both :meth:`transfer` and :meth:`transfer_call` come
-        through here)."""
+        through here).  A ``degrade`` fault opens the channel's degrade
+        window, which :meth:`occupancy` applies."""
         if self.faults.enabled:
             fault = self.faults.draw(FaultSite.BUS_EISA, node=self.node_id)
             if fault is not None:
                 self._degrade_factor = fault.params.get("factor", 4.0)
-                self._degraded_until = self.sim.now + fault.params.get(
+                self._degraded_until = self.sim._now + fault.params.get(
                     "duration_us", 200.0
                 )
                 self.degrade_windows += 1
-        return super()._occupy(nbytes)
+        return BandwidthChannel._occupy(self, nbytes)
 
     def pio_cost(self, accesses: int = 1) -> float:
         """CPU time of ``accesses`` programmed-I/O accesses decoded by the NIC.

@@ -204,7 +204,7 @@ class DeliberateUpdateEngine:
             self._start(command)
 
     def _start(self, command: DUCommand) -> None:
-        self._busy_since = self.sim.now
+        self._busy_since = self.sim._now
         if self.injector.enabled:
             fault = self.injector.draw(FaultSite.NIC_DU, node=self.node_id)
             if fault is not None:
@@ -224,7 +224,7 @@ class DeliberateUpdateEngine:
                         "deliberate update of %d bytes aborted by the "
                         "DU engine on node %d" % (command.size, self.node_id)
                     ))
-                    self.busy_time += self.sim.now - self._busy_since
+                    self.busy_time += self.sim._now - self._busy_since
                     self._busy_since = None
                     self._next()
                     return
@@ -255,7 +255,7 @@ class DeliberateUpdateEngine:
             # Engine setup and the first chunk's read setup are
             # back-to-back with no side effects between them: one
             # entry, bit-exact deadline arithmetic.
-            sim.schedule_at((sim.now + cfg.du_engine_setup)
+            sim.schedule_at((sim._now + cfg.du_engine_setup)
                             + cfg.du_dma_read_setup, self._read_chunk)
 
     def _read_chunk(self) -> None:
@@ -292,9 +292,10 @@ class DeliberateUpdateEngine:
         command = self._command
         self._command = self._reader = None
         self.transfers_done += 1
-        self.busy_time += self.sim.now - self._busy_since
+        self.busy_time += self.sim._now - self._busy_since
         self._busy_since = None
-        self.tracer.end(self._span)
+        if self._span is not None:
+            self.tracer.end(self._span)
         command.done.succeed()
         self._next()
 
@@ -373,10 +374,12 @@ class IncomingDmaEngine:
         next entry dispatched (docs/SIMULATOR.md).
         """
         incoming = self.incoming
+        if self._parked:
+            # Parked means the queue is empty: pass the packet through.
+            self._parked = False
+            self._take(incoming.hand_through(packet))
+            return
         if incoming.try_put(packet):
-            if self._parked:
-                self._parked = False
-                self._take(incoming.try_get())
             return
         # Queue full: fall back to a blocking putter process so the
         # packet enters the store in FIFO order once space frees.
@@ -456,7 +459,7 @@ class IncomingDmaEngine:
         # repeated on that rare fault path).
         self._fast = self.ipt.check_range(packet.dst_paddr, packet.size)
         if self._fast:
-            sim.schedule_at((sim.now + cfg.ipt_lookup) + cfg.incoming_dma_setup,
+            sim.schedule_at((sim._now + cfg.ipt_lookup) + cfg.incoming_dma_setup,
                             self._land_checked)
         else:
             sim.schedule_call(cfg.ipt_lookup, self._land_checked)
@@ -466,7 +469,8 @@ class IncomingDmaEngine:
         if not self.ipt.check_range(packet.dst_paddr, packet.size):
             self._freeze()
         elif self._fast:
-            self._land_dma()
+            # The setup was charged up front: the step _land_dma takes.
+            self.eisa.transfer_call(packet.size, self._landed)
         else:
             self.sim.schedule_call(self.config.incoming_dma_setup, self._land_dma)
 
@@ -496,7 +500,8 @@ class IncomingDmaEngine:
             return
         self._discard_pending = False
         self.packets_discarded += 1
-        self.tracer.end(self._span, data={"discarded": True})
+        if self._span is not None:
+            self.tracer.end(self._span, data={"discarded": True})
         self.arbiter.release()
         self._next()
 
@@ -507,17 +512,19 @@ class IncomingDmaEngine:
         cfg = self.config
         packet = self._packet
         self.memory.write(packet.dst_paddr, packet.payload)
-        if self.shadow is not None:
+        shadow = self.shadow
+        if shadow is not None and shadow.pages:
             # The card mirrors its own landing DMA into the shadow,
             # the second of the two datapaths that keep it coherent.
-            self.shadow.write(packet.dst_paddr, packet.payload)
+            shadow.write(packet.dst_paddr, packet.payload)
         self.packets_received += 1
         self.bytes_received += packet.size
         self.tracer.log(
             "dma-in", "n%d landed #%d %dB at %#x",
             self.node_id, packet.seq, packet.size, packet.dst_paddr,
         )
-        self.tracer.end(self._span)
+        if self._span is not None:
+            self.tracer.end(self._span)
         self.arbiter.release()
         first_page = packet.dst_paddr // cfg.page_size
         if packet.interrupt and self.ipt.wants_interrupt(first_page):
@@ -580,7 +587,8 @@ class IncomingDmaEngine:
                 self.node_id, request.src_paddr, request.nbytes,
                 packet.src_node,
             )
-            self.tracer.end(span, data={"denied": True})
+            if span is not None:
+                self.tracer.end(span, data={"denied": True})
             self._next()
             return
         self._request = request
@@ -668,5 +676,6 @@ class IncomingDmaEngine:
             self.node_id, request.src_paddr, request.nbytes,
             packet.src_node, " (shadow)" if shadow_hit else "",
         )
-        self.tracer.end(self._span, data={"shadow": shadow_hit})
+        if self._span is not None:
+            self.tracer.end(self._span, data={"shadow": shadow_hit})
         self._next()

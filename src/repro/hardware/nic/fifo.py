@@ -37,23 +37,26 @@ class OutgoingFifo:
     def try_put(self, packet: Packet) -> bool:
         """Enqueue a packet unless the FIFO is full (then count nothing).
 
-        A parked consumer is handed the packet straight through the
-        store — the accounting a waiting getter would have seen — and
-        runs synchronously, so this must be the last act of a NORMAL
-        scheduler entry (``Packetizer._enqueue`` is): the URGENT wake it
-        replaces would have been the next entry dispatched.
+        A parked consumer (only an empty FIFO has one) is handed the
+        packet straight through the store — the accounting a waiting
+        getter would have seen — and runs synchronously, so this must be
+        the last act of a NORMAL scheduler entry (``Packetizer._enqueue``
+        is): the URGENT wake it replaces would have been the next entry
+        dispatched.
         """
+        consumer = self._consumer
+        if consumer is not None:
+            self._consumer = None
+            self.packets_enqueued += 1
+            self.bytes_enqueued += packet.size
+            consumer(self._store.hand_through(packet))
+            return True
         store = self._store
         if not store.try_put(packet):
             return False
         self.packets_enqueued += 1
         self.bytes_enqueued += packet.size
-        consumer = self._consumer
-        if consumer is None:
-            self.high_water = max(self.high_water, len(store))
-            return True
-        self._consumer = None
-        consumer(store.try_get())
+        self.high_water = max(self.high_water, len(store))
         return True
 
     def park(self, consumer: Callable[[Packet], None]) -> None:

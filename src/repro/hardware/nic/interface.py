@@ -97,9 +97,11 @@ class NetworkInterface:
 
     # -- CPU-facing datapaths ------------------------------------------------
     def snoop_write(self, paddr: int, data: bytes) -> None:
-        """Feed one completed CPU store into the snoop logic."""
+        """Feed one completed CPU store into the snoop logic (and the
+        region shadow, when a region is registered)."""
         self.snoop.on_write(paddr, data)
-        self.shadow.write(paddr, data)
+        if self.shadow.pages:
+            self.shadow.write(paddr, data)
 
     def initiate_deliberate_update(
         self,
@@ -171,7 +173,9 @@ class NetworkInterface:
             )
         self._inject_span = span
         if self.arbiter.acquire(OUTGOING_PRIORITY, self._inject_granted):
-            self._inject_granted()
+            # Granted now: the step :meth:`_inject_granted` would take.
+            self.sim.schedule_call(self.config.nic_injection_latency,
+                                   self._inject_done)
 
     def _inject_granted(self) -> None:
         self.sim.schedule_call(self.config.nic_injection_latency,
@@ -181,7 +185,8 @@ class NetworkInterface:
         packet = self._injecting
         self.tracer.log("inject", "n%d injected #%d", self.node_id, packet.seq)
         self.mesh.inject(packet)
-        self.tracer.end(self._inject_span)
+        if self._inject_span is not None:
+            self.tracer.end(self._inject_span)
         self.arbiter.release()
         self._inject_next()
 

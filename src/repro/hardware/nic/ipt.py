@@ -84,8 +84,16 @@ class IncomingPageTable:
         return ent is not None and ent.interrupt
 
     def check_range(self, paddr: int, nbytes: int) -> bool:
-        """True iff every page touched by ``[paddr, paddr+nbytes)`` is enabled."""
+        """True iff every page touched by ``[paddr, paddr+nbytes)`` is enabled.
+
+        Runs twice per landing packet, so it costs one table lookup per
+        page and no further call.
+        """
         page_size = self.config.page_size
-        first = paddr // page_size
-        last = (paddr + nbytes - 1) // page_size
-        return all(self.is_enabled(p) for p in range(first, last + 1))
+        entries = self._entries
+        for page in range(paddr // page_size,
+                          (paddr + nbytes - 1) // page_size + 1):
+            ent = entries.get(page)
+            if ent is None or not ent.enabled:
+                return False
+        return True

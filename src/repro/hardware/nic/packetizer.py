@@ -49,10 +49,6 @@ class _OpenPacket:
         self.timeout = timeout
         self.last_write = now
 
-    @property
-    def end_paddr(self) -> int:
-        return self.dst_paddr + len(self.data)
-
 
 class Packetizer:
     """The packetizing + combining stage of one NIC's outgoing datapath."""
@@ -91,7 +87,8 @@ class Packetizer:
             # Every word of the write becomes its own packet — the
             # faithful (and expensive) uncombined behaviour; see the
             # combining ablation benchmark.
-            self._close_open()
+            if self._open is not None:
+                self._close_open()
             word = cfg.word_size
             for i in range(0, len(data), word):
                 self._emit_closed(
@@ -110,21 +107,22 @@ class Packetizer:
             if (
                 open_packet is not None
                 and open_packet.dst_node == entry.dst_node
-                and open_packet.end_paddr == addr
+                and open_packet.dst_paddr + len(open_packet.data) == addr
                 and len(open_packet.data) < cfg.max_packet_payload
             ):
                 room = cfg.max_packet_payload - len(open_packet.data)
                 chunk = data[position : position + room]
                 open_packet.data.extend(chunk)
                 open_packet.interrupt = open_packet.interrupt or entry.dest_interrupt
-                open_packet.last_write = self.sim.now
+                open_packet.last_write = self.sim._now
                 self.combined_writes += 1
                 position += len(chunk)
                 if len(open_packet.data) >= cfg.max_packet_payload:
                     self._close_open()
                 continue
             # Not combinable with the open packet: close it and open fresh.
-            self._close_open()
+            if open_packet is not None:
+                self._close_open()
             chunk = data[position : position + cfg.max_packet_payload]
             timeout = effective_timer(entry, cfg, self.faults, self.node_id)
             self._open = _OpenPacket(
@@ -134,18 +132,19 @@ class Packetizer:
                 entry.dest_interrupt,
                 entry.use_timer,
                 timeout,
-                self.sim.now,
+                self.sim._now,
             )
             position += len(chunk)
             if len(self._open.data) >= cfg.max_packet_payload:
                 self._close_open()
             elif entry.use_timer:
-                self._arm_timer()
+                self._timer.arm(timeout)
 
     # -- deliberate update path --------------------------------------------------
     def du_emit(self, dst_node: int, dst_paddr: int, payload: bytes, interrupt: bool) -> None:
         """Queue a DU chunk as one packet (after closing any open AU packet)."""
-        self._close_open()
+        if self._open is not None:
+            self._close_open()
         self._emit_closed(dst_node, dst_paddr, payload, PacketKind.DELIBERATE_UPDATE, interrupt)
 
     # -- one-sided read request path ---------------------------------------------
@@ -157,15 +156,11 @@ class Packetizer:
         but they share the FIFO and the mesh with update traffic, so
         per-pair ordering and the mesh fault sites apply to them too.
         """
-        self._close_open()
+        if self._open is not None:
+            self._close_open()
         self._emit_closed(dst_node, 0, payload, PacketKind.READ_REQUEST, False)
 
     # -- timer ---------------------------------------------------------------------
-    def _arm_timer(self) -> None:
-        if self._open is None:
-            return
-        self._timer.arm(self._open.timeout)
-
     def _timer_probe(self):
         # IdleTimer probe: the guarded object is the open packet; a
         # closed or timer-less packet disarms the check entirely.
@@ -208,9 +203,12 @@ class Packetizer:
             interrupt=interrupt,
         )
         self.packets_formed += 1
-        self.tracer.log(
+        tracer = self.tracer
+        # ``kind._value_`` is the member's plain value; ``kind.value`` is
+        # a property call, paid even when the log is disabled.
+        tracer.log(
             "packetize", "n%d formed #%d %s %dB -> n%d@%#x",
-            self.node_id, packet.seq, kind.value, packet.size, dst_node,
+            self.node_id, packet.seq, kind._value_, packet.size, dst_node,
             dst_paddr,
         )
         # Header formation + FIFO entry take packetize_latency; AU packets
@@ -220,21 +218,24 @@ class Packetizer:
         # one FIFO, in order).  A spawned putter keeps FIFO-full
         # backpressure working while preserving order (Store putters
         # queue FIFO).
-        delay = self.config.packetize_latency
+        cfg = self.config
+        delay = cfg.packetize_latency
         if kind is PacketKind.AUTOMATIC_UPDATE:
-            delay += self.config.snoop_opt_lookup
-        target = max(self.sim.now + delay, self._last_enqueue_at)
+            delay += cfg.snoop_opt_lookup
+        sim = self.sim
+        now = sim._now
+        target = max(now + delay, self._last_enqueue_at)
         self._last_enqueue_at = target
-        if self.tracer.enabled:
-            self.tracer.complete(
+        if tracer.enabled:
+            tracer.complete(
                 "nic.packetize",
                 "pkt #%d %s %dB" % (packet.seq, kind.value, packet.size),
-                self.sim.now,
+                now,
                 target,
                 track="n%d.nic.pktz" % self.node_id,
                 data={"bytes": packet.size, "dst_node": dst_node},
             )
-        self.sim.schedule_call(target - self.sim.now, self._enqueue, packet)
+        sim.schedule_call(target - now, self._enqueue, packet)
 
     def _enqueue(self, packet: Packet) -> None:
         # The FIFO put is the last act of this NORMAL entry, so an idle

@@ -62,10 +62,9 @@ class RegionShadow:
 
         Untimed — the bytes are passing the card anyway (a snooped
         store or the NIC's own landing DMA); retaining them costs no
-        extra bus time.
+        extra bus time.  Both feeds skip the call while no region is
+        registered (``pages`` empty).
         """
-        if not self.pages:
-            return
         ps = self.page_size
         offset, n = 0, len(data)
         while offset < n:

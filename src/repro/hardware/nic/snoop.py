@@ -31,17 +31,24 @@ class SnoopLogic:
         self.writes_matched = 0
 
     def on_write(self, paddr: int, data: bytes) -> None:
-        """Process one bus write of ``data`` at physical address ``paddr``."""
+        """Process one bus write of ``data`` at physical address ``paddr``.
+
+        Every CPU store comes through here, so each page costs one OPT
+        lookup, and a store inside one page (nearly all of them) hands
+        ``data`` on unsliced.
+        """
         self.writes_seen += 1
         page_size = self.config.page_size
         offset = 0
         nbytes = len(data)
         while offset < nbytes:
-            addr = paddr + offset
-            page, page_offset = divmod(addr, page_size)
+            page, page_offset = divmod(paddr + offset, page_size)
             chunk = min(nbytes - offset, page_size - page_offset)
             entry = self.opt.lookup(page)
             if entry is not None:
                 self.writes_matched += 1
-                self.packetizer.au_write(page_offset, data[offset : offset + chunk], entry)
+                self.packetizer.au_write(
+                    page_offset,
+                    data if chunk == nbytes else data[offset : offset + chunk],
+                    entry)
             offset += chunk

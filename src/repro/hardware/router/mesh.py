@@ -102,8 +102,9 @@ class MeshBackplane:
         if packet.dst_node not in self._receivers:
             raise ValueError("no NIC attached at node %d" % packet.dst_node)
         cfg = self.config
-        wire_bytes = packet.wire_size(cfg.packet_header_bytes)
-        now = self.sim.now
+        wire_bytes = cfg.packet_header_bytes + packet.size
+        sim = self.sim
+        now = sim._now
 
         head = now + cfg.nic_link_latency
         hop_latency = cfg.router_hop_latency
@@ -169,7 +170,7 @@ class MeshBackplane:
             packet.seq, packet.src_node, packet.dst_node, packet.size,
             arrival,
         )
-        self.sim.schedule_call(arrival - now, self._deliver, packet)
+        sim.schedule_call(arrival - now, self._deliver, packet)
         return arrival
 
     def _deliver(self, packet: Packet) -> None:

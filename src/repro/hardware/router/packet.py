@@ -21,7 +21,6 @@ import enum
 import itertools
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 __all__ = ["PacketKind", "Packet", "ReadRequest", "READ_REPLY_HEADER",
@@ -95,7 +94,6 @@ def encode_read_reply_header(seq: int, data: bytes,
                                   zlib.crc32(data) & 0xFFFFFFFF, status)
 
 
-@dataclass
 class Packet:
     """One wormhole packet on the backplane.
 
@@ -104,27 +102,33 @@ class Packet:
     ``interrupt`` is the sender-specified interrupt flag of Section 3.2:
     an interrupt is raised at the destination only if this AND the
     receiving page's IPT interrupt flag are both set.
+
+    ``seq`` defaults to the next number of one global sequence, drawn
+    before the payload is checked; ``size`` is the payload length, fixed
+    at construction.  The NIC builds one for every packet it forms, so
+    this is a plain slotted class rather than a dataclass.
     """
 
-    src_node: int
-    dst_node: int
-    dst_paddr: int
-    payload: bytes
-    kind: PacketKind
-    interrupt: bool = False
-    seq: int = field(default_factory=lambda: next(_SEQUENCE))
+    __slots__ = ("src_node", "dst_node", "dst_paddr", "payload", "kind",
+                 "interrupt", "seq", "size")
 
-    #: Payload size in bytes (fixed at construction; payload is immutable).
-    size: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.payload:
+    def __init__(self, src_node: int, dst_node: int, dst_paddr: int,
+                 payload: bytes, kind: PacketKind, interrupt: bool = False,
+                 seq: Optional[int] = None):
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.dst_paddr = dst_paddr
+        self.kind = kind
+        self.interrupt = interrupt
+        self.seq = next(_SEQUENCE) if seq is None else seq
+        if not payload:
             raise ValueError("packet must carry at least one byte")
         # Payload is kept immutable so in-flight packets cannot alias the
         # sender's memory (the hardware latches the written data).
-        if not isinstance(self.payload, bytes):
-            self.payload = bytes(self.payload)
-        self.size = len(self.payload)
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
+        self.payload = payload
+        self.size = len(payload)
 
     def wire_size(self, header_bytes: int) -> int:
         """Total bytes on a link, including the header."""

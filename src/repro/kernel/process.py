@@ -107,7 +107,7 @@ class UserProcess:
                 data={"bytes": len(data)},
             )
         nbytes = len(data)
-        start = self.sim.now
+        start = self.sim._now
         if lead:
             start = start + lead
         if nbytes <= self.config.cpu_stream_chunk:
@@ -125,7 +125,8 @@ class UserProcess:
         else:
             yield self.sim.timeout_at(start + base)
             yield from self._stream_out(vaddr, data, per_byte)
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
 
     def _stream_out(self, vaddr: int, data: bytes, per_byte: float):
         """Chunked store loop: charge, land bytes, snoop — per chunk."""
@@ -151,9 +152,8 @@ class UserProcess:
             if self.tracer.enabled:  # see write(): traced runs don't merge
                 yield self.sim.timeout_at(self.sim.now + lead)
                 lead = 0.0
-        segments = self.space.translate(vaddr, nbytes, write=False)
-        mode = self.space.cache_mode_of(vaddr)
-        start = self.sim.now
+        segments, mode = self.space.translate(vaddr, nbytes, with_mode=True)
+        start = self.sim._now
         if lead:
             start = start + lead
         yield self.sim.timeout_at(start + self.config.read_cost(mode, nbytes))
@@ -185,7 +185,7 @@ class UserProcess:
                 data={"bytes": nbytes},
             )
         chunk_size = self.config.cpu_stream_chunk
-        start = self.sim.now
+        start = self.sim._now
         if lead:
             start = start + lead
         if nbytes <= chunk_size:
@@ -215,7 +215,8 @@ class UserProcess:
                 self.node.nic.snoop_write(paddr, sub)
                 piece = piece[seg_len:]
             offset += length
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
 
     def compute(self, microseconds: float, priority: Optional[int] = None):
         """Pure CPU time (library bookkeeping, marshaling logic, ...).
@@ -272,8 +273,7 @@ class UserProcess:
         polling).  Returns None if ``deadline`` (absolute sim time)
         passes first.
         """
-        segments = self.space.translate(vaddr, nbytes, write=False)
-        mode = self.space.cache_mode_of(vaddr)
+        segments, mode = self.space.translate(vaddr, nbytes, with_mode=True)
         check_cost = (
             self.config.read_cost(mode, nbytes) + self.config.costs.vmmc_poll_check
         )

@@ -111,27 +111,37 @@ class AddressSpace:
             pte.writable = writable
 
     # -- translation ----------------------------------------------------------------
-    def translate(self, vaddr: int, nbytes: int, write: bool = False) -> List[Tuple[int, int]]:
+    def translate(self, vaddr: int, nbytes: int, write: bool = False,
+                  with_mode: bool = False):
         """Map ``[vaddr, vaddr+nbytes)`` to physical (paddr, length) segments.
 
         Adjacent segments in contiguous frames are merged.  Raises
         :class:`ProtectionFault` on unmapped pages or permission misses.
+        Every CPU access translates, so each page costs one page-table
+        lookup and no further call.  With ``with_mode`` the result is
+        ``(segments, cache_mode)``: the caching policy of the page
+        holding ``vaddr`` (see :meth:`cache_mode_of`), taken from the
+        same lookup.
         """
         if nbytes < 0:
             raise ValueError("negative length")
         if nbytes == 0:
-            return []
+            return ([], self.cache_mode_of(vaddr)) if with_mode else []
         page_size = self.config.page_size
+        page_table = self.page_table
         segments: List[Tuple[int, int]] = []
+        mode = None
         offset = 0
         while offset < nbytes:
-            addr = vaddr + offset
-            vpage, page_offset = divmod(addr, page_size)
-            pte = self._pte(vpage)
+            vpage, page_offset = divmod(vaddr + offset, page_size)
+            # ``_pte`` runs only to raise the unmapped-page fault.
+            pte = page_table.get(vpage) or self._pte(vpage)
             if write and not pte.writable:
                 raise ProtectionFault("write to read-only page %d" % vpage)
             if not write and not pte.readable:
                 raise ProtectionFault("read of unreadable page %d" % vpage)
+            if mode is None:
+                mode = pte.cache_mode
             length = min(nbytes - offset, page_size - page_offset)
             paddr = pte.frame * page_size + page_offset
             if segments and segments[-1][0] + segments[-1][1] == paddr:
@@ -139,11 +149,12 @@ class AddressSpace:
             else:
                 segments.append((paddr, length))
             offset += length
-        return segments
+        return (segments, mode) if with_mode else segments
 
     def cache_mode_of(self, vaddr: int) -> CacheMode:
         """Caching policy of the page containing ``vaddr``."""
-        return self._pte(vaddr // self.config.page_size).cache_mode
+        vpage = vaddr // self.config.page_size
+        return (self.page_table.get(vpage) or self._pte(vpage)).cache_mode
 
     def frames_of(self, vaddr: int, nbytes: int) -> List[int]:
         """Physical frame numbers backing a range (export-time helper)."""

@@ -10,26 +10,18 @@ owns a time-ordered scheduler of callbacks, and :class:`Event` objects
 connect producers to the processes waiting on them (see
 :mod:`repro.sim.process`).
 
-Two interchangeable schedulers sit behind the same API (see
-docs/SIMULATOR.md for the measured comparison):
-
-* ``"heap"`` (default) — a binary heap of ``(time, priority, seq, fn,
-  args)`` entries via :mod:`heapq`.
-* ``"calendar"`` — a classic calendar queue (:class:`CalendarQueue`):
-  time is hashed into rotating day buckets so push/pop avoid the
-  log-n sift, at the cost of Python-level bucket management.
-
-Both produce the exact same total order ``(time, priority, seq)`` —
-``seq`` is a monotonically increasing tiebreaker, so same-time,
-same-priority callbacks run in scheduling order and every run is fully
-deterministic regardless of scheduler (property-tested in
-``tests/properties/test_scheduler_equivalence.py``).
+The scheduler is a binary heap of ``(time, priority, seq, fn, args)``
+entries via :mod:`heapq` (docs/SIMULATOR.md, "Scheduler choice").
+``seq`` is a monotonically increasing tiebreaker, so the total order
+``(time, priority, seq)`` runs same-time, same-priority callbacks in
+scheduling order and every run is fully deterministic.  That order is
+pinned by the zero-regression and NIC-timeline goldens
+(``tests/workload/test_zero_regression.py``,
+``tests/hardware/test_nic_timeline_golden.py``).
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -40,7 +32,6 @@ __all__ = [
     "Timeout",
     "AnyOf",
     "AllOf",
-    "CalendarQueue",
     "Simulator",
     "NORMAL",
     "URGENT",
@@ -51,11 +42,6 @@ __all__ = [
 # ordinary process resumption (e.g. releasing a bus before the next grab).
 URGENT = 0
 NORMAL = 1
-
-# Default scheduler for new Simulators; overridable via the environment so
-# whole-system runs (workload engine, capacity sweeps) can be flipped
-# without threading a parameter through every constructor.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SIM_SCHEDULER", "heap")
 
 
 class SimulationError(Exception):
@@ -149,17 +135,13 @@ class Event:
             # Inlined sim.schedule_call(0.0, cb, self, priority=URGENT):
             # triggering is the single hottest scheduling producer.
             sim = self.sim
-            if sim._cal is None:
-                now = sim._now
-                heap = sim._heap
-                seq = sim._seq
-                for callback in callbacks:
-                    seq += 1
-                    heappush(heap, (now, URGENT, seq, callback, (self,)))
-                sim._seq = seq
-            else:
-                for callback in callbacks:
-                    sim.schedule_call(0.0, callback, self, priority=URGENT)
+            now = sim._now
+            heap = sim._heap
+            seq = sim._seq
+            for callback in callbacks:
+                seq += 1
+                heappush(heap, (now, URGENT, seq, callback, (self,)))
+            sim._seq = seq
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -196,11 +178,8 @@ class Event:
             raise SimulationError("event %r already triggered" % (self,))
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        entry = (sim._now + delay, NORMAL, seq, self._fire_now, (value,))
-        if sim._cal is None:
-            heappush(sim._heap, entry)
-        else:
-            sim._cal.push(entry)
+        heappush(sim._heap,
+                 (sim._now + delay, NORMAL, seq, self._fire_now, (value,)))
         return self
 
     def _fire_now(self, value: Any) -> None:
@@ -261,12 +240,8 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        entry = (sim._now + delay if _at is None else _at,
-                 NORMAL, seq, self._fire, (value,))
-        if sim._cal is None:
-            heappush(sim._heap, entry)
-        else:
-            sim._cal.push(entry)
+        heappush(sim._heap, (sim._now + delay if _at is None else _at,
+                             NORMAL, seq, self._fire, (value,)))
 
     def _label(self) -> str:
         return "Timeout(%g)" % self.delay
@@ -383,147 +358,21 @@ class AllOf(_Composite):
             self.succeed([e.value for e in self.events])
 
 
-class CalendarQueue:
-    """A calendar queue of ``(time, priority, seq, fn, args)`` entries.
-
-    Time is hashed into ``nbuckets`` rotating day buckets of ``width``
-    simulated microseconds each; entries within a bucket stay sorted
-    (``bisect.insort`` — the unique ``seq`` guarantees tuple comparison
-    never reaches the non-comparable ``fn``/``args`` fields).  Pops scan
-    from the current bucket, wrapping once per "year"; if a whole year
-    passes without a due entry (a sparse far-future schedule), the pop
-    falls back to a direct minimum over bucket heads and fast-forwards.
-
-    The queue resizes (doubling/halving buckets, re-estimating width
-    from a sample of inter-entry gaps) when occupancy leaves the
-    ``[nbuckets/2, 2*nbuckets]`` band, per Brown's classic design.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_count",
-                 "_bucket_index", "_year_end", "_last_time")
-
-    def __init__(self, width: float = 1.0, nbuckets: int = 16):
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets: List[List[tuple]] = [[] for _ in range(nbuckets)]
-        self._count = 0
-        self._last_time = 0.0
-        self._set_position(0.0)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _set_position(self, time: float) -> None:
-        """Point the scan at the bucket/year containing ``time``."""
-        day = int(time / self._width)
-        self._bucket_index = day % self._nbuckets
-        self._year_end = (day + 1) * self._width
-
-    def push(self, entry: tuple) -> None:
-        """Insert one ``(time, priority, seq, fn, args)`` entry."""
-        time = entry[0]
-        insort(self._buckets[int(time / self._width) % self._nbuckets], entry)
-        self._count += 1
-        if time < self._last_time:
-            # An entry landed behind the scan position (possible right
-            # after a fast-forward): rewind so it is not skipped.
-            self._set_position(time)
-            self._last_time = time
-        if self._count > 2 * self._nbuckets and self._nbuckets < 1 << 15:
-            self._resize(2 * self._nbuckets)
-
-    def pop(self) -> tuple:
-        """Remove and return the earliest entry (tuple order)."""
-        if not self._count:
-            raise IndexError("pop from empty CalendarQueue")
-        buckets = self._buckets
-        nbuckets = self._nbuckets
-        index = self._bucket_index
-        year_end = self._year_end
-        width = self._width
-        for _ in range(nbuckets):
-            bucket = buckets[index]
-            if bucket and bucket[0][0] < year_end:
-                entry = bucket.pop(0)
-                self._bucket_index = index
-                self._year_end = year_end
-                self._count -= 1
-                self._last_time = entry[0]
-                if (self._count < self._nbuckets // 2
-                        and self._nbuckets > 16):
-                    self._resize(self._nbuckets // 2)
-                return entry
-            index = (index + 1) % nbuckets
-            year_end += width
-        # A full year with nothing due: jump straight to the earliest
-        # entry across all buckets.
-        head = min(bucket[0] for bucket in buckets if bucket)
-        self._set_position(head[0])
-        return self.pop()
-
-    def peek_time(self) -> Optional[float]:
-        """The earliest entry's time, or None when empty."""
-        if not self._count:
-            return None
-        buckets = self._buckets
-        index = self._bucket_index
-        year_end = self._year_end
-        width = self._width
-        for _ in range(self._nbuckets):
-            bucket = buckets[index]
-            if bucket and bucket[0][0] < year_end:
-                return bucket[0][0]
-            index = (index + 1) % self._nbuckets
-            year_end += width
-        return min(bucket[0] for bucket in buckets if bucket)[0]
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        entries.sort()
-        # Re-estimate the bucket width as the mean gap between a sample
-        # of adjacent entries (Brown's heuristic), clamped to stay sane.
-        if len(entries) > 2:
-            sample = entries[: min(len(entries), 64)]
-            gaps = [b[0] - a[0] for a, b in zip(sample, sample[1:])]
-            mean = sum(gaps) / len(gaps)
-            if mean > 0.0:
-                self._width = 3.0 * mean
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            self._buckets[int(entry[0] / width) % nbuckets].append(entry)
-        anchor = entries[0][0] if entries else self._last_time
-        self._set_position(anchor)
-
-
 class Simulator:
     """The discrete-event loop.
 
-    Keeps a time-ordered scheduler of ``(time, priority, seq, fn, args)``
-    entries.  ``seq`` is a monotonically increasing tiebreaker so
-    same-time, same-priority callbacks run in scheduling order, making
-    runs fully deterministic.
-
-    ``scheduler`` selects the queue implementation (``"heap"`` or
-    ``"calendar"``); both yield the identical total order.  The default
-    comes from the ``REPRO_SIM_SCHEDULER`` environment variable when set.
+    Keeps a heap of ``(time, priority, seq, fn, args)`` entries.
+    ``seq`` is a monotonically increasing tiebreaker so same-time,
+    same-priority callbacks run in scheduling order, making runs fully
+    deterministic.
 
     ``events_executed`` counts dispatched callbacks — the denominator of
     the sim-events/sec figure in ``BENCH_sim.json``.
     """
 
-    def __init__(self, scheduler: Optional[str] = None):
-        scheduler = scheduler or DEFAULT_SCHEDULER
-        if scheduler not in ("heap", "calendar"):
-            raise ValueError("unknown scheduler %r (use 'heap' or 'calendar')"
-                             % (scheduler,))
-        self.scheduler = scheduler
+    def __init__(self):
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Callable, tuple]] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if scheduler == "calendar" else None
-        )
         self._seq = 0
         self._running = False
         self.events_executed = 0
@@ -545,12 +394,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past (delay=%r)" % (delay,))
         self._seq = seq = self._seq + 1
-        entry = (self._now + delay, priority, seq, fn, args)
-        cal = self._cal
-        if cal is None:
-            heappush(self._heap, entry)
-        else:
-            cal.push(entry)
+        heappush(self._heap, (self._now + delay, priority, seq, fn, args))
 
     def schedule_at(
         self,
@@ -569,12 +413,7 @@ class Simulator:
             raise ValueError("cannot schedule in the past (time=%r, now=%r)"
                              % (time, self._now))
         self._seq = seq = self._seq + 1
-        entry = (time, priority, seq, fn, args)
-        cal = self._cal
-        if cal is None:
-            heappush(self._heap, entry)
-        else:
-            cal.push(entry)
+        heappush(self._heap, (time, priority, seq, fn, args))
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
@@ -606,24 +445,16 @@ class Simulator:
     # -- running ---------------------------------------------------------
     def step(self) -> None:
         """Run the single next callback, advancing time to it."""
-        cal = self._cal
-        if cal is None:
-            if not self._heap:
-                raise SimulationError("no more events to run")
-            time, _priority, _seq, fn, args = heappop(self._heap)
-        else:
-            if not cal:
-                raise SimulationError("no more events to run")
-            time, _priority, _seq, fn, args = cal.pop()
+        if not self._heap:
+            raise SimulationError("no more events to run")
+        time, _priority, _seq, fn, args = heappop(self._heap)
         self._now = time
         self.events_executed += 1
         fn(*args)
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or None if idle."""
-        if self._cal is None:
-            return self._heap[0][0] if self._heap else None
-        return self._cal.peek_time()
+        return self._heap[0][0] if self._heap else None
 
     def run(self, until: Optional[float] = None) -> Any:
         """Run until the scheduler drains or ``until`` microseconds is
@@ -637,8 +468,6 @@ class Simulator:
         self._running = True
         executed = 0
         try:
-            if self._cal is not None:
-                return self._run_calendar(until)
             # Hot loop: dispatch straight off the heap with everything
             # localized.  Equivalent to ``while heap: self.step()`` minus
             # per-event attribute lookups and try/except setup.
@@ -665,27 +494,6 @@ class Simulator:
         finally:
             self.events_executed += executed
             self._running = False
-
-    def _run_calendar(self, until: Optional[float]) -> Any:
-        cal = self._cal
-        assert cal is not None
-        executed = 0
-        try:
-            while cal:
-                if until is not None:
-                    head = cal.peek_time()
-                    if head is not None and head > until:
-                        self._now = until
-                        break
-                entry = cal.pop()
-                self._now = entry[0]
-                executed += 1
-                entry[3](*entry[4])
-            return None
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            self.events_executed += executed
 
     def stop(self, value: Any = None) -> None:
         """Stop :meth:`run` at the current time (from inside a callback)."""

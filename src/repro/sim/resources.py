@@ -198,14 +198,22 @@ class Store:
         return event
 
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if len(self._items) >= self.capacity:
+        """Non-blocking put; returns False when the store is full.
+
+        The NIC's queues put and get every packet through here, so the
+        occupancy accounting of :meth:`_account` is inlined.
+        """
+        items = self._items
+        depth = len(items)
+        if depth >= self.capacity:
             return False
-        self._account()
-        self._items.append(item)
+        now = self.sim._now
+        self._occupancy_integral += depth * (now - self._occupancy_since)
+        self._occupancy_since = now
+        items.append(item)
         self.puts += 1
-        if len(self._items) > self.high_water:
-            self.high_water = len(self._items)
+        if depth + 1 > self.high_water:
+            self.high_water = depth + 1
         # Only getters can make progress after a put (waiting putters
         # imply the store was already full, contradicting the append).
         if self._getters:
@@ -219,14 +227,33 @@ class Store:
         that is itself None (e.g. a shutdown sentinel) — pass a private
         sentinel object when None items are possible.
         """
-        if not self._items:
+        items = self._items
+        if not items:
             return default
-        self._account()
-        item = self._items.popleft()
+        now = self.sim._now
+        self._occupancy_integral += len(items) * (now - self._occupancy_since)
+        self._occupancy_since = now
+        item = items.popleft()
         # Only putters can make progress after a get (waiting getters
         # imply the store was already empty, contradicting the pop).
         if self._putters:
             self._settle()
+        return item
+
+    def hand_through(self, item: Any) -> Any:
+        """Pass ``item`` through an empty store to a consumer waiting
+        outside it; returns ``item``.
+
+        Accounts exactly what :meth:`try_put` then :meth:`try_get` would
+        at this instant — one put, a high-water mark of at least one, an
+        occupancy integral grown by zero — without buffering the item.
+        Only for an empty store with no getter waiting (the NIC's parked
+        engines guarantee both).
+        """
+        self._occupancy_since = self.sim._now
+        self.puts += 1
+        if self.high_water < 1:
+            self.high_water = 1
         return item
 
     def _account(self) -> None:
@@ -303,6 +330,11 @@ class BandwidthChannel:
         self.bandwidth = bandwidth
         self.overhead = overhead
         self._free_at = 0.0
+        # A degrade window (the EISA bus's ``bus.eisa`` fault site opens
+        # one): a transfer claimed before ``_degraded_until`` takes
+        # ``_degrade_factor`` times its normal channel time.
+        self._degraded_until = 0.0
+        self._degrade_factor = 1.0
         self.bytes_carried = 0
         self.transfers = 0
         self.busy_time = 0.0
@@ -315,15 +347,19 @@ class BandwidthChannel:
         return max(self._free_at, self.sim.now)
 
     def occupancy(self, nbytes: int) -> float:
-        """Channel time one transfer of ``nbytes`` consumes."""
+        """Channel time one transfer of ``nbytes`` claimed now consumes
+        (stretched inside a degrade window)."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        return self.overhead + nbytes / self.bandwidth
+        base = self.overhead + nbytes / self.bandwidth
+        if self.sim._now < self._degraded_until:
+            return base * self._degrade_factor
+        return base
 
     def transfer(self, nbytes: int, value: Any = None) -> Event:
         """Queue a transfer; returns an event fired at completion time."""
         finish = self._occupy(nbytes)
-        return self.sim.timeout(finish - self.sim.now, value)
+        return self.sim.timeout(finish - self.sim._now, value)
 
     def transfer_call(self, nbytes: int, fn: Callable, *args: Any) -> None:
         """Queue a transfer; ``fn(*args)`` runs at completion time.
@@ -334,18 +370,26 @@ class BandwidthChannel:
         event's :class:`~repro.sim.Timeout` would have had.
         """
         finish = self._occupy(nbytes)
-        self.sim.schedule_call(finish - self.sim.now, fn, *args)
+        sim = self.sim
+        sim.schedule_call(finish - sim._now, fn, *args)
 
     def _occupy(self, nbytes: int) -> float:
-        """Claim the channel for one transfer; returns its finish time."""
-        start = self.busy_until()
+        """Claim the channel for one transfer; returns its finish time.
+
+        Runs once per DMA transfer, so it reads the clock once and
+        inlines :meth:`busy_until`.
+        """
+        now = self.sim._now
+        start = self._free_at
+        if start < now:
+            start = now
         occupied = self.occupancy(nbytes)
         finish = start + occupied
         self._free_at = finish
         self.bytes_carried += nbytes
         self.transfers += 1
         self.busy_time += occupied
-        self.wait_time += start - self.sim.now
+        self.wait_time += start - now
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.complete("bus", "%s xfer %dB" % (self.name, nbytes),

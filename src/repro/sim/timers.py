@@ -158,8 +158,9 @@ class IdleTimer:
         if probed is None:
             return
         timeout, last_activity = probed
-        idle = self.sim.now - last_activity
-        tolerance = 1e-9 * max(1.0, self.sim.now)
+        now = self.sim._now
+        idle = now - last_activity
+        tolerance = 1e-9 * max(1.0, now)
         if idle + tolerance >= timeout:
             self._expire()
         else:
